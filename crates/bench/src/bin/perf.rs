@@ -13,13 +13,11 @@
 //! * `f3_hc16_static` — same machine under static space-sharing;
 //! * `f3_hc16_hybrid` — time-sharing capped at MPL 4 (the paper's hybrid
 //!   discipline), which drives the slice-timer cancel path hardest;
-//! * `f3_hc16_ts_calendar` — the headline with the calendar event queue,
-//!   to keep the queue-backend decision honest;
-//! * `queue_hold_{heap,cal}_n{64,4096}` — bare event-queue hold model
+//! * `queue_hold_heap_n{64,4096}` — bare event-heap hold model
 //!   (pop-then-push at a steady population), the classic queue benchmark;
 //! * `queue_hold_wheel_n{64,4096}` — the same hold model against the
 //!   timing wheel, with a cancel+replace every fourth round to exercise
-//!   the handle path no comparison-based backend has;
+//!   the handle path the heap does not have;
 //! * `shard_scale_{seq,s2,s4}` — the conservative-parallel runner on a
 //!   64-node machine of four 16-node hypercube partitions (the 16-node
 //!   paper machine is a single partition and cannot shard): the same
@@ -77,13 +75,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// [`F3_REPS`] (bit-identical simulated results, ~10x less wall time).
 static QUICK: AtomicBool = AtomicBool::new(false);
 
-fn f3_config(
-    policy: PolicyKind,
-    queue: QueueKind,
-    mpl: Option<usize>,
-) -> (ExperimentConfig, Vec<JobSpec>) {
+fn f3_config(policy: PolicyKind, mpl: Option<usize>) -> (ExperimentConfig, Vec<JobSpec>) {
     let cfg = ExperimentConfig {
-        queue,
         mpl,
         ..ExperimentConfig::paper(16, TopologyKind::Hypercube { dim: 0 }, policy)
     };
@@ -101,12 +94,12 @@ fn f3_config(
 /// reliably; every timed iteration repeats it this many times.
 const F3_REPS: u32 = 10;
 
-fn run_f3(policy: PolicyKind, queue: QueueKind) -> f64 {
-    run_f3_mpl(policy, queue, None)
+fn run_f3(policy: PolicyKind) -> f64 {
+    run_f3_mpl(policy, None)
 }
 
-fn run_f3_mpl(policy: PolicyKind, queue: QueueKind, mpl: Option<usize>) -> f64 {
-    let (cfg, batch) = f3_config(policy, queue, mpl);
+fn run_f3_mpl(policy: PolicyKind, mpl: Option<usize>) -> f64 {
+    let (cfg, batch) = f3_config(policy, mpl);
     let reps = if QUICK.load(Ordering::Relaxed) { 1 } else { F3_REPS };
     let mut metric = 0.0;
     for _ in 0..reps {
@@ -202,8 +195,9 @@ fn run_tscale(cell: Cell4k, point: ScalePoint, switching: Switching, shards: usi
 
 /// Classic hold-model queue benchmark: fill to `n`, then `ops` rounds of
 /// pop-one push-one with an exponential-ish increment, which keeps the
-/// population (and for the calendar queue, the bucket occupancy) steady.
-fn queue_hold<Q: EventQueue<u64>>(mut q: Q, n: u64, ops: u64) -> f64 {
+/// population steady.
+fn queue_hold(n: u64, ops: u64) -> f64 {
+    let mut q: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
     let mut rng = DetRng::new(0xBE7C);
     let mut seq = 0u64;
     for _ in 0..n {
@@ -339,32 +333,17 @@ fn scenarios() -> Vec<Scenario> {
         }
     }
     let mut v = vec![
-        light("f3_hc16_ts", true, Some(16), || {
-            Some(run_f3(PolicyKind::TimeSharing, QueueKind::default()))
-        }),
-        light("f3_hc16_static", true, Some(16), || {
-            Some(run_f3(PolicyKind::Static, QueueKind::default()))
-        }),
+        light("f3_hc16_ts", true, Some(16), || Some(run_f3(PolicyKind::TimeSharing))),
+        light("f3_hc16_static", true, Some(16), || Some(run_f3(PolicyKind::Static))),
         light("f3_hc16_hybrid", true, Some(16), || {
-            Some(run_f3_mpl(PolicyKind::TimeSharing, QueueKind::default(), Some(4)))
-        }),
-        light("f3_hc16_ts_calendar", false, Some(16), || {
-            Some(run_f3(PolicyKind::TimeSharing, QueueKind::Calendar))
+            Some(run_f3_mpl(PolicyKind::TimeSharing, Some(4)))
         }),
         light("queue_hold_heap_n64", false, None, || {
-            queue_hold(BinaryHeapQueue::new(), 64, 2_000_000);
-            None
-        }),
-        light("queue_hold_cal_n64", false, None, || {
-            queue_hold(CalendarQueue::new(), 64, 2_000_000);
+            queue_hold(64, 2_000_000);
             None
         }),
         light("queue_hold_heap_n4096", false, None, || {
-            queue_hold(BinaryHeapQueue::new(), 4096, 2_000_000);
-            None
-        }),
-        light("queue_hold_cal_n4096", false, None, || {
-            queue_hold(CalendarQueue::new(), 4096, 2_000_000);
+            queue_hold(4096, 2_000_000);
             None
         }),
         light("queue_hold_wheel_n64", false, None, || {

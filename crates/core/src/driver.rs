@@ -1111,7 +1111,7 @@ mod tests {
     }
 
     fn run(driver: &mut Driver) {
-        let mut engine: Engine<Event> = Engine::new(QueueKind::BinaryHeap);
+        let mut engine: Engine<Event> = Engine::new(QueueKind);
         driver.start(&mut engine);
         assert_eq!(engine.run(driver), RunOutcome::Drained);
         assert!(driver.all_done(), "{}", driver.diagnose());
@@ -1366,7 +1366,7 @@ mod tests {
                 batch,
             )
             .with_prefetch(prefetch);
-            let mut engine: Engine<Event> = Engine::new(QueueKind::BinaryHeap);
+            let mut engine: Engine<Event> = Engine::new(QueueKind);
             d.start(&mut engine);
             assert_eq!(engine.run(&mut d), RunOutcome::Drained);
             *d.response_times().iter().max().unwrap()

@@ -39,7 +39,8 @@ pub struct ExperimentConfig {
     pub mpl: Option<usize>,
     /// Machine timing parameters.
     pub machine: MachineConfig,
-    /// Engine backend.
+    /// Passed to [`Engine::new`]; [`QueueKind`] has a single value, so this
+    /// selects nothing.
     pub queue: QueueKind,
 }
 
@@ -56,7 +57,7 @@ impl ExperimentConfig {
             discipline: Discipline::default(),
             mpl: None,
             machine: MachineConfig::default(),
-            queue: QueueKind::default(),
+            queue: QueueKind,
         }
     }
 

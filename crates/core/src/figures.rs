@@ -70,7 +70,7 @@ impl FigureOpts {
             discipline: Discipline::default(),
             mpl: None,
             machine: self.machine.clone(),
-            queue: parsched_des::QueueKind::default(),
+            queue: parsched_des::QueueKind,
         }
     }
 }

@@ -6,10 +6,9 @@
 //! [`Engine::run`]. The engine is deliberately dumb: it knows nothing about
 //! nodes, processes, or messages — only timestamps and opaque events.
 
-use crate::queue::{AdaptiveQueue, BinaryHeapQueue, CalendarQueue, EventQueue, Scheduled};
+use crate::queue::{pack, BinaryHeapQueue, Scheduled};
 use crate::time::{SimDuration, SimTime};
-use crate::timers::AdaptiveTimers;
-use crate::wheel::TimerHandle;
+use crate::wheel::{TimerHandle, TimerWheel};
 use std::collections::VecDeque;
 
 /// A simulation model: consumes events, may schedule more via the
@@ -113,15 +112,15 @@ impl<E> EventSeeder<E> for Engine<E> {
 /// Handle through which a model schedules future events during `handle`.
 ///
 /// New events go straight into the engine's pending-event tiers — the
-/// now-queue for the current instant, the backend queue for the future, the
-/// [`AdaptiveTimers`] store for cancellable timers — with no intermediate
+/// now-queue for the current instant, the [`BinaryHeapQueue`] for the
+/// future, the [`TimerWheel`] for cancellable timers — with no intermediate
 /// buffering. All three tiers order by the same `(time, seq)` key, so the
 /// pop order is identical to what a single buffered queue would give.
 pub struct Scheduler<'w, E> {
     now: SimTime,
     next_seq: u64,
-    timers: &'w mut AdaptiveTimers<E>,
-    queue: &'w mut Backend<E>,
+    timers: &'w mut TimerWheel<E>,
+    queue: &'w mut BinaryHeapQueue<E>,
     now_queue: &'w mut VecDeque<Scheduled<E>>,
     pause: bool,
 }
@@ -141,8 +140,8 @@ impl<E> EventScheduler<E> for Scheduler<'_, E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         if time == self.now {
-            // Zero-delay bypass: stays out of the backend queue, FIFO
-            // (= seq) order preserved.
+            // Zero-delay bypass: stays out of the heap, FIFO (= seq)
+            // order preserved.
             self.now_queue.push_back(Scheduled { time, seq, event });
         } else {
             self.queue.push(Scheduled { time, seq, event });
@@ -173,65 +172,12 @@ impl<E> EventScheduler<E> for Scheduler<'_, E> {
     }
 }
 
-/// Which pending-event set backend an [`Engine`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Binary heap (`O(log n)`; fastest for small pending sets).
-    BinaryHeap,
-    /// Calendar queue (`O(1)` amortized for stationary event populations).
-    Calendar,
-    /// Heap that migrates to a calendar past the measured crossover and
-    /// back (the default; see the
-    /// [queue module docs](crate::queue#the-adaptive-heuristic)).
-    Adaptive,
-}
-
-impl Default for QueueKind {
-    /// The backend used when callers have no reason to choose: the
-    /// adaptive queue, which is a heap while the pending set is small (the
-    /// paper's workloads) and a calendar once it is not, so the choice no
-    /// longer depends on the workload.
-    fn default() -> Self {
-        QueueKind::Adaptive
-    }
-}
-
-enum Backend<E> {
-    Heap(BinaryHeapQueue<E>),
-    Calendar(CalendarQueue<E>),
-    Adaptive(AdaptiveQueue<E>),
-}
-
-impl<E> Backend<E> {
-    fn push(&mut self, item: Scheduled<E>) {
-        match self {
-            Backend::Heap(q) => q.push(item),
-            Backend::Calendar(q) => q.push(item),
-            Backend::Adaptive(q) => q.push(item),
-        }
-    }
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        match self {
-            Backend::Heap(q) => q.pop(),
-            Backend::Calendar(q) => q.pop(),
-            Backend::Adaptive(q) => q.pop(),
-        }
-    }
-    fn peek_key(&mut self) -> Option<u128> {
-        match self {
-            Backend::Heap(q) => q.peek_key(),
-            Backend::Calendar(q) => q.peek_key(),
-            Backend::Adaptive(q) => q.peek_key(),
-        }
-    }
-    fn len(&self) -> usize {
-        match self {
-            Backend::Heap(q) => q.len(),
-            Backend::Calendar(q) => q.len(),
-            Backend::Adaptive(q) => q.len(),
-        }
-    }
-}
+/// The argument [`Engine::new`] takes. It carries no choice: every engine
+/// runs the same three tiers (now-queue, 4-ary heap, timing wheel). The
+/// type survives only so existing callers that pass a configured value
+/// keep compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueKind;
 
 /// Why [`Engine::run`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,13 +203,13 @@ pub enum RunOutcome {
 /// * the **now-queue** — a FIFO ring holding events scheduled *for the
 ///   current instant* (zero-delay handler chains); pushing and popping it
 ///   never touches the comparison-based queue,
-/// * the **timer store** — cancellable timers from
-///   [`Scheduler::schedule_timer`], kept on a timing wheel with an
-///   adaptive heap fallback ([`AdaptiveTimers`]),
-/// * the **backend queue** — everything else ([`QueueKind`]).
+/// * the **timer wheel** — cancellable timers from
+///   [`Scheduler::schedule_timer`], kept on a [`TimerWheel`] so a cancel
+///   removes the timer at once instead of leaving a corpse to pop,
+/// * the **heap** — everything else, in a [`BinaryHeapQueue`].
 pub struct Engine<E> {
-    queue: Backend<E>,
-    timers: AdaptiveTimers<E>,
+    queue: BinaryHeapQueue<E>,
+    timers: TimerWheel<E>,
     /// Events scheduled for the current instant, in FIFO (= seq) order.
     /// Invariant: every entry's time equals the time of the most recently
     /// popped event, so entries are totally ordered against the other two
@@ -280,16 +226,12 @@ pub struct Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// A fresh engine at time zero with the given backend.
-    pub fn new(kind: QueueKind) -> Self {
-        let queue = match kind {
-            QueueKind::BinaryHeap => Backend::Heap(BinaryHeapQueue::new()),
-            QueueKind::Calendar => Backend::Calendar(CalendarQueue::new()),
-            QueueKind::Adaptive => Backend::Adaptive(AdaptiveQueue::new()),
-        };
+    /// A fresh engine at time zero. [`QueueKind`] has a single value; the
+    /// argument selects nothing.
+    pub fn new(_: QueueKind) -> Self {
         Engine {
-            queue,
-            timers: AdaptiveTimers::new(),
+            queue: BinaryHeapQueue::new(),
+            timers: TimerWheel::new(),
             now_queue: VecDeque::with_capacity(64),
             now: SimTime::ZERO,
             next_seq: 0,
@@ -341,7 +283,7 @@ impl<E> Engine<E> {
             let mut key = u128::MAX;
             let mut src = NONE;
             if let Some(s) = self.now_queue.front() {
-                key = ((s.time.nanos() as u128) << 64) | s.seq as u128;
+                key = pack(s.time, s.seq);
                 src = NOW;
             }
             if let Some(k) = self.timers.peek_key() {
@@ -391,15 +333,12 @@ impl<E> Engine<E> {
     }
 
     /// Timestamp of the earliest pending event across all three tiers, or
-    /// `None` when the pending set is empty.
-    ///
-    /// `&mut` because peeking the backend queue may rebalance a calendar
-    /// bucket; the pending set itself is not modified. The sharded engine
-    /// uses this to compute the global window floor.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
+    /// `None` when the pending set is empty. The sharded engine uses this
+    /// to compute the global window floor.
+    pub fn next_event_time(&self) -> Option<SimTime> {
         let mut key = u128::MAX;
         if let Some(s) = self.now_queue.front() {
-            key = ((s.time.nanos() as u128) << 64) | s.seq as u128;
+            key = pack(s.time, s.seq);
         }
         if let Some(k) = self.timers.peek_key() {
             key = key.min(k);
@@ -449,21 +388,19 @@ mod tests {
     }
 
     #[test]
-    fn countdown_runs_to_completion_on_both_backends() {
-        for kind in [QueueKind::BinaryHeap, QueueKind::Calendar] {
-            let mut engine = Engine::new(kind);
-            engine.seed(SimTime(5), 3u64);
-            let mut model = Countdown { fired: Vec::new() };
-            assert_eq!(engine.run(&mut model), RunOutcome::Drained);
-            assert_eq!(model.fired, vec![(5, 3), (15, 2), (25, 1), (35, 0)]);
-            assert_eq!(engine.now(), SimTime(35));
-            assert_eq!(engine.events_processed(), 4);
-        }
+    fn countdown_runs_to_completion() {
+        let mut engine = Engine::new(QueueKind);
+        engine.seed(SimTime(5), 3u64);
+        let mut model = Countdown { fired: Vec::new() };
+        assert_eq!(engine.run(&mut model), RunOutcome::Drained);
+        assert_eq!(model.fired, vec![(5, 3), (15, 2), (25, 1), (35, 0)]);
+        assert_eq!(engine.now(), SimTime(35));
+        assert_eq!(engine.events_processed(), 4);
     }
 
     #[test]
     fn horizon_stops_the_run() {
-        let mut engine = Engine::new(QueueKind::BinaryHeap);
+        let mut engine = Engine::new(QueueKind);
         engine.horizon = SimTime(20);
         engine.seed(SimTime(5), 3u64);
         let mut model = Countdown { fired: Vec::new() };
@@ -482,7 +419,7 @@ mod tests {
                 sched.schedule(SimDuration::from_nanos(1), ());
             }
         }
-        let mut engine = Engine::new(QueueKind::BinaryHeap);
+        let mut engine = Engine::new(QueueKind);
         engine.max_events = 1000;
         engine.seed(SimTime::ZERO, ());
         assert_eq!(engine.run(&mut Forever), RunOutcome::BudgetExhausted);
@@ -504,7 +441,7 @@ mod tests {
                 }
             }
         }
-        let mut engine = Engine::new(QueueKind::BinaryHeap);
+        let mut engine = Engine::new(QueueKind);
         engine.seed(SimTime::ZERO, 0u32);
         let mut m = Recorder(Vec::new());
         engine.run(&mut m);
@@ -513,7 +450,7 @@ mod tests {
 
     #[test]
     fn run_until_respects_deadline_and_restores_horizon() {
-        let mut engine = Engine::new(QueueKind::BinaryHeap);
+        let mut engine = Engine::new(QueueKind);
         engine.seed(SimTime(5), 3u64);
         let mut model = Countdown { fired: Vec::new() };
         assert_eq!(
@@ -529,7 +466,7 @@ mod tests {
 
     #[test]
     fn pending_and_counters_track_queue_state() {
-        let mut engine: Engine<u64> = Engine::new(QueueKind::Calendar);
+        let mut engine: Engine<u64> = Engine::new(QueueKind);
         assert_eq!(engine.pending(), 0);
         engine.seed(SimTime(1), 1);
         engine.seed(SimTime(2), 2);
@@ -540,7 +477,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot seed into the past")]
     fn seeding_into_the_past_panics() {
-        let mut engine = Engine::new(QueueKind::BinaryHeap);
+        let mut engine = Engine::new(QueueKind);
         engine.seed(SimTime(10), 0u64);
         let mut model = Countdown { fired: Vec::new() };
         engine.run(&mut model);
@@ -557,7 +494,7 @@ mod tests {
                 sched.schedule_at(SimTime(now.nanos() - 1), ());
             }
         }
-        let mut engine = Engine::new(QueueKind::BinaryHeap);
+        let mut engine = Engine::new(QueueKind);
         engine.seed(SimTime(10), ());
         engine.run(&mut Bad);
     }

@@ -3,11 +3,10 @@
 //! The deterministic discrete-event simulation kernel underneath the
 //! `parsched` reproduction of Chan, Dandamudi & Majumdar (IPPS 1997).
 //!
-//! The kernel is domain-agnostic: it provides simulated [time](time),
-//! interchangeable [pending-event set](queue) implementations (heap,
-//! calendar, and an adaptive hybrid), a [timing wheel](wheel) with an
-//! [adaptive heap fallback](timers) for cancellable timers, the
-//! [event loop](engine), a conservative
+//! The kernel is domain-agnostic: it provides simulated [time](time), a
+//! 4-ary heap [pending-event set](queue), a [timing wheel](wheel) for
+//! cancellable timers, the [event loop](engine) that merges the two with a
+//! same-instant now-queue, a conservative
 //! [sharded parallel engine](shard) with barrier lookahead windows,
 //! [output statistics](stats),
 //! a [deterministic RNG](rng) with labelled substreams, and a bounded
@@ -18,9 +17,10 @@
 //!
 //! Simulations built on this kernel are bit-for-bit reproducible: integer
 //! nanosecond timestamps, sequence-number tiebreaks for simultaneous events,
-//! and seeded RNG substreams. All queue backends — and the engine's
-//! now-queue/wheel/queue merge — produce identical event orders (asserted
-//! by tests), so backend choice is purely a performance knob.
+//! and seeded RNG substreams. The engine's merge-pop across its now-queue,
+//! timing wheel and heap yields exactly the `(time, seq)` order one sorted
+//! queue would — asserted by tests against the naive reference engine in
+//! `parsched-oracle`.
 //!
 //! ## Example
 //!
@@ -44,7 +44,7 @@
 //!     }
 //! }
 //!
-//! let mut engine = Engine::new(QueueKind::BinaryHeap);
+//! let mut engine = Engine::new(QueueKind);
 //! engine.seed(SimTime::ZERO, "ping");
 //! let mut model = Pinger { pongs: 0 };
 //! assert_eq!(engine.run(&mut model), RunOutcome::Drained);
@@ -60,7 +60,6 @@ pub mod rng;
 pub mod shard;
 pub mod stats;
 pub mod time;
-pub mod timers;
 pub mod trace;
 pub mod wheel;
 
@@ -69,9 +68,8 @@ pub mod prelude {
     pub use crate::engine::{
         Engine, EventScheduler, EventSeeder, Model, QueueKind, RunOutcome, Scheduler,
     };
-    pub use crate::queue::{AdaptiveQueue, BinaryHeapQueue, CalendarQueue, EventQueue, Scheduled};
+    pub use crate::queue::{BinaryHeapQueue, Scheduled};
     pub use crate::shard::{Lookahead, ShardCtx, ShardModel, ShardTiming, ShardedEngine, Solo};
-    pub use crate::timers::AdaptiveTimers;
     pub use crate::wheel::{TimerHandle, TimerWheel};
     pub use crate::rng::DetRng;
     pub use crate::stats::{percentile, Histogram, Summary, TimeWeighted, Welford};

@@ -56,10 +56,10 @@
 //! cached slot minimum rescans (one slot, the first occupied one).
 //!
 //! The wheel orders by the same packed `(time, seq)` key as the
-//! [`queue`](crate::queue) backends, so the engine can merge-pop across
-//! wheel and queue and preserve the exact global event order.
+//! [event heap](crate::queue), so the engine can merge-pop across wheel
+//! and heap and preserve the exact global event order.
 
-use crate::queue::Scheduled;
+use crate::queue::{pack, Scheduled};
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
@@ -76,11 +76,6 @@ const OVERFLOW_LEVEL: u8 = LEVELS as u8;
 /// `mins` sentinel for an empty tier. Unreachable by a real timer: it would
 /// need both `time == u64::MAX` and `seq == u64::MAX`.
 const EMPTY: u128 = u128::MAX;
-
-#[inline]
-fn pack(time: SimTime, seq: u64) -> u128 {
-    ((time.nanos() as u128) << 64) | seq as u128
-}
 
 #[inline]
 fn slot_shift(level: usize) -> u32 {
@@ -319,35 +314,6 @@ impl<E> TimerWheel<E> {
             key,
             level: placed_level,
         }
-    }
-
-    /// Entries sitting in the unordered overflow list (firing beyond every
-    /// level's span). Every operation on them is a linear scan, so a large
-    /// overflow population is the wheel's pathological regime — the
-    /// adaptive timer layer watches this to decide when to migrate off the
-    /// wheel.
-    #[inline]
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
-    }
-
-    /// Cancel by packed `(time, seq)` key alone, probing every tier. The
-    /// adaptive timer layer hands out handles that may predate a
-    /// wheel↔heap migration, so the level recorded in a handle can be
-    /// stale; this resolves the key wherever it currently lives. At most
-    /// one probe per level (each rejected in `O(1)` by the epoch check
-    /// unless the key's slot really must be scanned) plus the overflow
-    /// scan.
-    pub fn cancel_by_key(&mut self, key: u128) -> bool {
-        for l in 0..LEVELS as u8 {
-            if self.cancel(TimerHandle { key, level: l }) {
-                return true;
-            }
-        }
-        self.cancel(TimerHandle {
-            key,
-            level: OVERFLOW_LEVEL,
-        })
     }
 
     /// Cancel a pending timer. Returns `true` if the timer was still live

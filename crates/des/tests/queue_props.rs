@@ -1,104 +1,21 @@
-//! Differential property tests: the calendar queue must behave exactly like
-//! the binary heap (the obviously-correct reference) under arbitrary
-//! operation sequences, including the simulation-realistic constraint that
+//! Differential property test: the engine's two pending-event structures —
+//! the 4-ary heap (cancelling lazily, by discarding popped corpses) and the
+//! timing wheel (cancelling eagerly by handle) — must yield the identical
+//! stream of live events under arbitrary schedule/cancel/pop
+//! interleavings, including the simulation-realistic constraint that
 //! pushes never go behind the last popped time.
 //!
-//! Ported from proptest to seeded [`DetRng`] loops so the suite runs with
-//! no external dependencies; each iteration derives its own substream, so
-//! a failure report's iteration index is enough to replay it exactly.
-//!
-//! The adaptive backend gets its own section at the bottom: its
-//! heap↔calendar migrations are driven through phase-aligned operation
-//! windows so the hysteresis (sustained-streak requirement, dead band
-//! between the promote and demote thresholds) is pinned in both
-//! directions, with every pop mirrored against the reference heap.
+//! Seeded [`DetRng`] loops, no external dependencies; each iteration
+//! derives its own substream, so a failure report's case index is enough
+//! to replay it exactly.
 
 use parsched_des::prelude::*;
-use parsched_des::queue::{ADAPT_CHECK_EVERY, ADAPT_DEMOTE_LEN, ADAPT_PROMOTE_LEN, ADAPT_STREAK};
 use parsched_des::rng::DetRng;
-
-#[derive(Debug, Clone, Copy)]
-enum Cmd {
-    /// Push an event `delta` beyond the current low-water mark.
-    Push(u64),
-    /// Pop the earliest event.
-    Pop,
-}
-
-/// A random command sequence: pushes outnumber pops 3:2, like the original
-/// proptest weighting.
-fn random_cmds(rng: &mut DetRng) -> Vec<Cmd> {
-    let len = rng.uniform_u64(1, 400) as usize;
-    (0..len)
-        .map(|_| {
-            if rng.uniform_u64(0, 5) < 3 {
-                Cmd::Push(rng.uniform_u64(0, 5_000_000))
-            } else {
-                Cmd::Pop
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn calendar_matches_heap_exactly() {
-    let root = DetRng::new(0xD1FF);
-    for case in 0..256u64 {
-        let mut rng = root.substream_idx("calendar-vs-heap", case);
-        let cmds = random_cmds(&mut rng);
-        let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-        let mut seq = 0u64;
-        let mut low_water = 0u64; // last popped time: pushes are >= this
-        for cmd in &cmds {
-            match *cmd {
-                Cmd::Push(delta) => {
-                    let time = SimTime(low_water + delta);
-                    seq += 1;
-                    heap.push(Scheduled { time, seq, event: seq });
-                    cal.push(Scheduled { time, seq, event: seq });
-                }
-                Cmd::Pop => {
-                    let a = heap.pop();
-                    let b = cal.pop();
-                    match (a, b) {
-                        (None, None) => {}
-                        (Some(x), Some(y)) => {
-                            assert_eq!(x.time, y.time, "case {case}");
-                            assert_eq!(x.seq, y.seq, "case {case}");
-                            assert_eq!(x.event, y.event, "case {case}");
-                            low_water = x.time.nanos();
-                        }
-                        (x, y) => panic!(
-                            "case {case}: backends disagree on emptiness: {x:?} vs {y:?}"
-                        ),
-                    }
-                }
-            }
-            assert_eq!(heap.len(), cal.len(), "case {case}");
-            assert_eq!(heap.peek_time(), cal.peek_time(), "case {case}");
-        }
-        // Drain both completely; orders must match to the end.
-        loop {
-            match (heap.pop(), cal.pop()) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!((x.time, x.seq), (y.time, y.seq), "case {case}");
-                }
-                (x, y) => panic!(
-                    "case {case}: backends disagree while draining: {x:?} vs {y:?}"
-                ),
-            }
-        }
-    }
-}
+use std::collections::HashSet;
 
 /// Pop the next event that was never cancelled, discarding cancelled ones
-/// (the lazy-invalidation idiom comparison-based queues are stuck with).
-fn pop_live<Q: EventQueue<u64>>(
-    q: &mut Q,
-    cancelled: &std::collections::HashSet<u64>,
-) -> Option<(SimTime, u64)> {
+/// (the lazy-invalidation idiom a comparison-based queue is stuck with).
+fn pop_live(q: &mut BinaryHeapQueue<u64>, cancelled: &HashSet<u64>) -> Option<(SimTime, u64)> {
     loop {
         let s = q.pop()?;
         if !cancelled.contains(&s.seq) {
@@ -107,271 +24,86 @@ fn pop_live<Q: EventQueue<u64>>(
     }
 }
 
-/// Random schedule/cancel/pop interleavings must produce the identical
-/// stream of live events from all three pending-set shapes: a binary heap
-/// and a calendar queue (both emulating cancellation lazily, by discarding
-/// popped corpses) and the timing wheel (cancelling eagerly by handle).
+/// Random schedule/cancel/pop interleavings over two time ranges:
+///
+/// * `near` — up to 100 ms past the last pop, the first wheel level's
+///   neighbourhood where the machine's slice timers live;
+/// * `overflow` — 4.9 h (2^44 ns, the wheel's whole span) plus up to
+///   2^48 ns past the last pop. The pushes spread over sixteen top-level
+///   epochs while the three levels can hold three at a time, so most of
+///   these timers sit in the wheel's unordered overflow list, where insert,
+///   cancel and pop are scans.
 #[test]
 fn cancel_interleavings_match_across_backends() {
     let root = DetRng::new(0xCC3);
-    for case in 0..128u64 {
-        let mut rng = root.substream_idx("cancel-differential", case);
-        let len = rng.uniform_u64(1, 400) as usize;
-        let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-        let mut wheel: TimerWheel<u64> = TimerWheel::new();
-        let mut cancelled = std::collections::HashSet::new();
-        // Timers still pending in the wheel, by (seq, handle).
-        let mut live: Vec<(u64, TimerHandle)> = Vec::new();
-        let mut seq = 0u64;
-        let mut low_water = 0u64;
-        for _ in 0..len {
-            match rng.uniform_u64(0, 5) {
-                0..=2 => {
-                    let time = SimTime(low_water + rng.uniform_u64(0, 100_000_000));
-                    seq += 1;
-                    heap.push(Scheduled { time, seq, event: seq });
-                    cal.push(Scheduled { time, seq, event: seq });
-                    let h = wheel.insert(time, seq, seq);
-                    live.push((seq, h));
-                }
-                3 => {
-                    if !live.is_empty() {
-                        let i = rng.uniform_u64(0, live.len() as u64) as usize;
-                        let (s, h) = live.swap_remove(i);
-                        assert!(wheel.cancel(h), "case {case}: live timer must cancel");
-                        cancelled.insert(s);
+    let ranges = [
+        ("near", "cancel-differential", 0u64, 100_000_000u64),
+        ("overflow", "cancel-differential-overflow", 1 << 44, 1 << 48),
+    ];
+    for (label, stream, offset, spread) in ranges {
+        for case in 0..128u64 {
+            let mut rng = root.substream_idx(stream, case);
+            let len = rng.uniform_u64(1, 400) as usize;
+            let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
+            let mut wheel: TimerWheel<u64> = TimerWheel::new();
+            let mut cancelled = HashSet::new();
+            // Timers still pending in the wheel, by (seq, handle).
+            let mut live: Vec<(u64, TimerHandle)> = Vec::new();
+            let mut seq = 0u64;
+            let mut low_water = 0u64;
+            for _ in 0..len {
+                match rng.uniform_u64(0, 5) {
+                    0..=2 => {
+                        let time = SimTime(low_water + offset + rng.uniform_u64(0, spread));
+                        seq += 1;
+                        heap.push(Scheduled {
+                            time,
+                            seq,
+                            event: seq,
+                        });
+                        let h = wheel.insert(time, seq, seq);
+                        live.push((seq, h));
+                    }
+                    3 => {
+                        if !live.is_empty() {
+                            let i = rng.uniform_u64(0, live.len() as u64) as usize;
+                            let (s, h) = live.swap_remove(i);
+                            assert!(
+                                wheel.cancel(h),
+                                "{label} case {case}: live timer must cancel"
+                            );
+                            assert!(
+                                !wheel.cancel(h),
+                                "{label} case {case}: second cancel is stale"
+                            );
+                            cancelled.insert(s);
+                        }
+                    }
+                    _ => {
+                        let w = wheel.pop_min().map(|s| (s.time, s.seq));
+                        let a = pop_live(&mut heap, &cancelled);
+                        assert_eq!(w, a, "{label} case {case}: wheel vs heap");
+                        if let Some((t, s)) = w {
+                            low_water = t.nanos();
+                            live.retain(|&(ls, _)| ls != s);
+                        }
                     }
                 }
-                _ => {
-                    let w = wheel.pop_min().map(|s| (s.time, s.seq));
-                    let a = pop_live(&mut heap, &cancelled);
-                    let b = pop_live(&mut cal, &cancelled);
-                    assert_eq!(w, a, "case {case}: wheel vs heap");
-                    assert_eq!(a, b, "case {case}: heap vs calendar");
-                    if let Some((t, s)) = w {
-                        low_water = t.nanos();
-                        live.retain(|&(ls, _)| ls != s);
-                    }
+                assert_eq!(
+                    wheel.len(),
+                    live.len(),
+                    "{label} case {case}: wheel occupancy"
+                );
+            }
+            // Drain both; the tails must agree exactly.
+            loop {
+                let w = wheel.pop_min().map(|s| (s.time, s.seq));
+                let a = pop_live(&mut heap, &cancelled);
+                assert_eq!(w, a, "{label} case {case}: drain wheel vs heap");
+                if w.is_none() {
+                    break;
                 }
             }
-            assert_eq!(wheel.len(), live.len(), "case {case}: wheel occupancy");
-        }
-        // Drain all three; the tails must agree exactly.
-        loop {
-            let w = wheel.pop_min().map(|s| (s.time, s.seq));
-            let a = pop_live(&mut heap, &cancelled);
-            let b = pop_live(&mut cal, &cancelled);
-            assert_eq!(w, a, "case {case}: drain wheel vs heap");
-            assert_eq!(a, b, "case {case}: drain heap vs calendar");
-            if w.is_none() {
-                break;
-            }
         }
     }
-}
-
-/// The calendar queue also tolerates pushes *earlier* than the scan
-/// position (legal for a bare queue even though the engine forbids it).
-#[test]
-fn calendar_handles_unconstrained_times() {
-    let root = DetRng::new(0xCA1);
-    for case in 0..256u64 {
-        let mut rng = root.substream_idx("unconstrained", case);
-        let len = rng.uniform_u64(1, 200) as usize;
-        let times: Vec<u64> = (0..len).map(|_| rng.uniform_u64(0, 1_000_000)).collect();
-        let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-        // Interleave: push half, pop a few, push the rest (some earlier).
-        let half = times.len() / 2;
-        for (i, &t) in times[..half].iter().enumerate() {
-            let s = Scheduled { time: SimTime(t), seq: i as u64, event: i as u64 };
-            heap.push(s.clone());
-            cal.push(s);
-        }
-        for _ in 0..half / 3 {
-            let a = heap.pop().map(|s| (s.time, s.seq));
-            let b = cal.pop().map(|s| (s.time, s.seq));
-            assert_eq!(a, b, "case {case}");
-        }
-        for (i, &t) in times[half..].iter().enumerate() {
-            let seq = (half + i) as u64;
-            let s = Scheduled { time: SimTime(t), seq, event: seq };
-            heap.push(s.clone());
-            cal.push(s);
-        }
-        loop {
-            let a = heap.pop().map(|s| (s.time, s.seq));
-            let b = cal.pop().map(|s| (s.time, s.seq));
-            assert_eq!(a, b, "case {case}");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-}
-
-/// The [`AdaptiveQueue`] under test, mirrored op-for-op against the
-/// reference heap. Times strictly increase, so calendar promotion always
-/// sees nonzero dispersion and every `(time, seq)` key is unique.
-struct Mirrored {
-    adaptive: AdaptiveQueue<u64>,
-    reference: BinaryHeapQueue<u64>,
-    seq: u64,
-    clock: u64,
-}
-
-impl Mirrored {
-    fn new() -> Self {
-        Mirrored {
-            adaptive: AdaptiveQueue::new(),
-            reference: BinaryHeapQueue::new(),
-            seq: 0,
-            clock: 0,
-        }
-    }
-
-    fn push(&mut self) {
-        self.clock += 7;
-        self.seq += 1;
-        let s = Scheduled {
-            time: SimTime(self.clock),
-            seq: self.seq,
-            event: self.seq,
-        };
-        self.adaptive.push(s.clone());
-        self.reference.push(s);
-    }
-
-    fn pop(&mut self) {
-        let a = self.adaptive.pop().map(|s| (s.time, s.seq, s.event));
-        let b = self.reference.pop().map(|s| (s.time, s.seq, s.event));
-        assert_eq!(a, b, "adaptive backend diverged from the reference heap");
-    }
-
-    /// One push + one pop: two operations, population unchanged.
-    fn pair(&mut self) {
-        self.push();
-        self.pop();
-    }
-
-    fn len(&self) -> usize {
-        assert_eq!(self.adaptive.len(), self.reference.len());
-        self.adaptive.len()
-    }
-}
-
-/// Promote on sustained high population, hold through the dead band, demote
-/// on sustained low population, refuse to re-promote from the dead band —
-/// the full hysteresis loop, with exactness checked on every pop.
-#[test]
-fn adaptive_migrates_both_directions_with_hysteresis() {
-    let window = ADAPT_CHECK_EVERY as usize;
-    let sustain = (ADAPT_STREAK as usize + 1) * window;
-
-    let mut m = Mirrored::new();
-    for _ in 0..ADAPT_PROMOTE_LEN + 476 {
-        m.push();
-    }
-    // Sustained high population promotes heap -> calendar.
-    for _ in 0..sustain / 2 {
-        m.pair();
-    }
-    assert!(m.adaptive.is_calendar(), "sustained high load must promote");
-
-    // Dead band (demote < len < promote): the calendar must persist.
-    while m.len() > (ADAPT_PROMOTE_LEN + ADAPT_DEMOTE_LEN) / 2 {
-        m.pop();
-    }
-    for _ in 0..sustain / 2 {
-        m.pair();
-    }
-    assert!(
-        m.adaptive.is_calendar(),
-        "population inside the dead band must not demote"
-    );
-
-    // Sustained low population demotes calendar -> heap.
-    while m.len() > ADAPT_DEMOTE_LEN - 56 {
-        m.pop();
-    }
-    for _ in 0..sustain / 2 {
-        m.pair();
-    }
-    assert!(!m.adaptive.is_calendar(), "sustained low load must demote");
-
-    // Dead band from the other side: the heap must persist.
-    while m.len() < (ADAPT_PROMOTE_LEN + ADAPT_DEMOTE_LEN) / 2 {
-        m.push();
-    }
-    for _ in 0..sustain / 2 {
-        m.pair();
-    }
-    assert!(
-        !m.adaptive.is_calendar(),
-        "population inside the dead band must not promote"
-    );
-
-    // Both backends drain to identical tails after two migrations.
-    while m.len() > 0 {
-        m.pop();
-    }
-    m.pop(); // both empty
-}
-
-/// A population that keeps dipping below the promote threshold right when
-/// the queue samples it never accumulates the required streak, no matter
-/// how much total time it spends above: migration needs *consecutive*
-/// agreeing checks. Phase-aligned: population checks fire on every
-/// `ADAPT_CHECK_EVERY`-th operation, and this test counts operations so
-/// each dip lands exactly on a check.
-#[test]
-fn adaptive_promotion_requires_consecutive_checks() {
-    let window = ADAPT_CHECK_EVERY as usize; // operations between checks
-    let mut m = Mirrored::new();
-
-    // Growth: checks during this see a sub-threshold population until the
-    // very last one, which starts the streak at 1 (len == ADAPT_PROMOTE_LEN
-    // exactly at the check). Requires window | ADAPT_PROMOTE_LEN.
-    assert_eq!(ADAPT_PROMOTE_LEN % window, 0);
-    for _ in 0..ADAPT_PROMOTE_LEN {
-        m.push();
-    }
-
-    for round in 0..2 {
-        // Two whole windows at the threshold: streak grows to 3.
-        for _ in 0..window {
-            m.pair();
-        }
-        assert!(!m.adaptive.is_calendar(), "round {round}: streak 2 too early");
-        // Third window ends with two pops, so the check that would have
-        // completed the streak samples len below threshold and resets it.
-        for _ in 0..(window - 2) / 2 {
-            m.pair();
-        }
-        m.pop();
-        m.pop();
-        assert!(
-            !m.adaptive.is_calendar(),
-            "round {round}: a dip at the sampling instant must reset the streak"
-        );
-        // Recovery window: restore the population; its check restarts the
-        // streak at 1, same state as after growth.
-        m.push();
-        m.push();
-        for _ in 0..(window - 2) / 2 {
-            m.pair();
-        }
-    }
-
-    // Control: the same population *without* dips promotes after
-    // ADAPT_STREAK consecutive checks (streak is at 1 from the recovery
-    // window's check).
-    for _ in 0..(ADAPT_STREAK as usize - 1) * window / 2 {
-        m.pair();
-    }
-    assert!(
-        m.adaptive.is_calendar(),
-        "uninterrupted streak must promote"
-    );
 }

@@ -1,7 +1,7 @@
 //! Edge-case tests for the timing wheel *as driven through the engine*:
 //! epoch rollover at level boundaries, handle staleness across
-//! fire/cancel/reuse, and the interaction between the wheel, the backend
-//! queue, and the schedule-at-now bypass. The wheel's unit tests exercise
+//! fire/cancel/reuse, and the interaction between the wheel, the event
+//! heap, and the schedule-at-now bypass. The wheel's unit tests exercise
 //! it in isolation; these exercise the three-tier merge the engine
 //! actually runs.
 
@@ -41,7 +41,7 @@ fn run_batch(at: Vec<u64>) -> Vec<u64> {
         at,
         fired: Vec::new(),
     };
-    let mut engine = Engine::new(QueueKind::BinaryHeap);
+    let mut engine = Engine::new(QueueKind);
     engine.seed(SimTime::ZERO, u64::MAX);
     assert_eq!(engine.run(&mut model), RunOutcome::Drained);
     model.fired
@@ -98,7 +98,7 @@ fn epoch_rollover_after_drain_retenants_cleanly() {
         }
     }
     let mut model = Rollover { fired: Vec::new() };
-    let mut engine = Engine::new(QueueKind::BinaryHeap);
+    let mut engine = Engine::new(QueueKind);
     engine.seed(SimTime(L0_EPOCH - 100), 1);
     engine.seed(SimTime(L0_EPOCH - 50), 0);
     assert_eq!(engine.run(&mut model), RunOutcome::Drained);
@@ -147,7 +147,7 @@ fn stale_handles_stay_dead_across_fire_and_reuse() {
         }
     }
     let mut model = Stale::default();
-    let mut engine = Engine::new(QueueKind::Adaptive);
+    let mut engine = Engine::new(QueueKind);
     engine.seed(SimTime::ZERO, 0);
     assert_eq!(engine.run(&mut model), RunOutcome::Drained);
     assert_eq!(model.stale_results, vec![false, false]);
@@ -158,7 +158,7 @@ fn stale_handles_stay_dead_across_fire_and_reuse() {
 fn schedule_at_now_merges_in_seq_order_across_all_tiers() {
     // At one instant, events land in all three tiers: the now-queue
     // (schedule_at(now) bypass), the wheel (schedule_timer_at(now)), and
-    // the backend queue (a previously scheduled event at the same time).
+    // the heap (a previously scheduled event at the same time).
     // Delivery must follow creation (seq) order exactly.
     struct Mixer {
         order: Vec<u64>,
@@ -172,14 +172,14 @@ fn schedule_at_now_merges_in_seq_order_across_all_tiers() {
                 sched.schedule_at(SimTime(100), 10); // now-queue, seq 2
                 sched.schedule_timer_at(SimTime(100), 11); // wheel, seq 3
                 sched.schedule_at(SimTime(100), 12); // now-queue, seq 4
-                sched.schedule_at(SimTime(200), 13); // backend, seq 5
+                sched.schedule_at(SimTime(200), 13); // heap, seq 5
             }
         }
     }
     let mut model = Mixer { order: Vec::new() };
-    let mut engine = Engine::new(QueueKind::BinaryHeap);
+    let mut engine = Engine::new(QueueKind);
     engine.seed(SimTime(100), 0); // seq 0
-    engine.seed(SimTime(100), 1); // seq 1: backend event at the same time
+    engine.seed(SimTime(100), 1); // seq 1: heap event at the same time
     assert_eq!(engine.run(&mut model), RunOutcome::Drained);
     // Seq order at t=100: the seeded 1 (seq 1) precedes the bypassed 10
     // (seq 2) even though the now-queue is the cheapest tier to peek.
@@ -189,7 +189,7 @@ fn schedule_at_now_merges_in_seq_order_across_all_tiers() {
 #[test]
 fn zero_delay_schedule_is_the_now_queue_bypass() {
     // schedule(0, ..) and schedule_now(..) route through schedule_at(now)
-    // and must behave identically to it: same-time FIFO, no backend churn.
+    // and must behave identically to it: same-time FIFO, no heap churn.
     struct Zero {
         order: Vec<u64>,
     }
@@ -205,7 +205,7 @@ fn zero_delay_schedule_is_the_now_queue_bypass() {
         }
     }
     let mut model = Zero { order: Vec::new() };
-    let mut engine = Engine::new(QueueKind::Calendar);
+    let mut engine = Engine::new(QueueKind);
     engine.seed(SimTime(50), 0);
     assert_eq!(engine.run(&mut model), RunOutcome::Drained);
     assert_eq!(model.order, vec![0, 1, 2, 3]);

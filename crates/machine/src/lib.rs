@@ -34,7 +34,8 @@
 //!     vec![0],                       // rank 0 on processor 0
 //!     SimDuration::from_millis(2),   // quantum
 //! );
-//! let mut engine = Engine::new(QueueKind::BinaryHeap);
+//! // The one engine layout: now-queue, 4-ary event heap, timing wheel.
+//! let mut engine = Engine::new(QueueKind);
 //! engine.seed(SimTime::ZERO, Event::Admit { job });
 //! assert_eq!(engine.run(&mut machine), RunOutcome::Drained);
 //! assert!(machine.all_jobs_done());

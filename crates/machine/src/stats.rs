@@ -16,10 +16,12 @@ pub struct JobSummary {
     pub id: JobId,
     /// Name from the spec.
     pub name: String,
-    /// Response time (completion minus admission).
+    /// Response time: completion (or, for a fault-killed job, the kill)
+    /// minus admission.
     pub response: SimDuration,
     /// Load time (processes runnable minus admission): host-link queueing
-    /// plus shipping plus memory waits.
+    /// plus shipping plus memory waits. A job killed while loading never
+    /// became runnable; its load time runs to the kill.
     pub load_time: SimDuration,
     /// CPU time accrued by the job's processes (compute + messaging
     /// software costs).
@@ -47,11 +49,18 @@ impl JobSummary {
             .iter()
             .map(|pk| machine.processes()[pk.idx()].cpu_time)
             .sum();
+        // Both terminal paths stamp `finished_at`; only a spawned job has
+        // processes and a meaningful `loaded_at`.
+        let load_end = if job.proc_keys.is_empty() {
+            job.finished_at
+        } else {
+            job.loaded_at
+        };
         JobSummary {
             id,
             name: job.name.clone(),
-            response: job.response_time(),
-            load_time: job.loaded_at.since(job.submitted_at),
+            response: job.finished_at.since(job.submitted_at),
+            load_time: load_end.since(job.submitted_at),
             cpu_time,
             demand: job.total_compute,
             width: job.proc_keys.len(),

@@ -3018,13 +3018,13 @@ mod tests {
     fn start_job_requires_ready_state() {
         let mut m = single_node_machine();
         let id = m.queue_job(compute_spec("j", 1, 0), vec![0], SimDuration::from_millis(2));
-        let mut engine: Engine<Event> = Engine::new(QueueKind::BinaryHeap);
+        let mut engine: Engine<Event> = Engine::new(QueueKind);
         // Never admitted: still Queued.
         engine.seed(SimTime::ZERO, Event::Dispatch { node: 0 });
         engine.run(&mut m);
         // Calling start_job on a Queued job must panic; drive through the
         // model API to get a Scheduler.
-        let mut e2: Engine<Event> = Engine::new(QueueKind::BinaryHeap);
+        let mut e2: Engine<Event> = Engine::new(QueueKind);
         e2.seed(SimTime::ZERO, Event::Dispatch { node: 0 });
         struct Caller {
             m: Machine,
@@ -3052,7 +3052,7 @@ mod tests {
         let mut m = Machine::new(cfg, SystemNet::single(&build::linear(2).unwrap()));
         let a = m.queue_job(compute_spec("a", 1, 10_000), vec![0], SimDuration::from_millis(2));
         let b = m.queue_job(compute_spec("b", 1, 10_000), vec![1], SimDuration::from_millis(2));
-        let mut engine: Engine<Event> = Engine::new(QueueKind::BinaryHeap);
+        let mut engine: Engine<Event> = Engine::new(QueueKind);
         engine.seed(SimTime::ZERO, Event::Admit { job: a });
         engine.seed(SimTime::ZERO, Event::Admit { job: b });
         assert_eq!(engine.run(&mut m), RunOutcome::Drained);
@@ -3074,7 +3074,7 @@ mod tests {
         let mut spec = compute_spec("light", 1, 100_000);
         spec.ship_bytes = 1_000; // resident 100 KB but only 1 KB shipped
         let id = m.queue_job(spec, vec![0], SimDuration::from_millis(2));
-        let mut engine: Engine<Event> = Engine::new(QueueKind::BinaryHeap);
+        let mut engine: Engine<Event> = Engine::new(QueueKind);
         engine.seed(SimTime::ZERO, Event::Admit { job: id });
         engine.run(&mut m);
         assert_eq!(m.job(id).loaded_at, SimTime::ZERO + SimDuration::from_millis(1));
@@ -3109,7 +3109,7 @@ mod tests {
                 self.m.handle(now, ev, sched);
             }
         }
-        let mut engine: Engine<Event> = Engine::new(QueueKind::BinaryHeap);
+        let mut engine: Engine<Event> = Engine::new(QueueKind);
         engine.seed(SimTime::ZERO, Event::PolicyTick { token: 0 }); // park first
         engine.seed(SimTime::ZERO, Event::Admit { job: id });
         engine.seed(
@@ -3143,7 +3143,7 @@ mod tests {
             ],
         };
         let id = m.queue_job(spec, vec![0, 1], SimDuration::from_millis(2));
-        let mut engine: Engine<Event> = Engine::new(QueueKind::BinaryHeap);
+        let mut engine: Engine<Event> = Engine::new(QueueKind);
         engine.seed(SimTime::ZERO, Event::Admit { job: id });
         engine.run(&mut m);
         assert_eq!(m.counters.messages_sent, 1);
@@ -3186,7 +3186,7 @@ mod tests {
     }
 
     fn run_faulty(m: &mut Machine, id: JobId) {
-        let mut engine: Engine<Event> = Engine::new(QueueKind::BinaryHeap);
+        let mut engine: Engine<Event> = Engine::new(QueueKind);
         m.seed_faults(&mut engine);
         engine.seed(SimTime::ZERO, Event::Admit { job: id });
         assert_eq!(engine.run(m), RunOutcome::Drained);

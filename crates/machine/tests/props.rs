@@ -127,7 +127,6 @@ fn run_jobs(
     cfg: MachineConfig,
     net: SystemNet,
     jobs: &[ForkJoin],
-    queue: QueueKind,
 ) -> (Machine, SimTime, u64) {
     let nodes = net.nodes() as u32;
     let mut m = Machine::new(cfg, net);
@@ -142,7 +141,7 @@ fn run_jobs(
             m.queue_job(spec, placement, SimDuration::from_millis(2))
         })
         .collect();
-    let mut engine = Engine::new(queue);
+    let mut engine = Engine::new(QueueKind);
     engine.max_events = 5_000_000;
     for id in ids {
         engine.seed(SimTime::ZERO, Event::Admit { job: id });
@@ -165,7 +164,6 @@ fn conservation_laws_hold() {
             MachineConfig::default(),
             make_net(topo),
             &jobs,
-            QueueKind::BinaryHeap,
         );
         assert!(m.all_jobs_done(), "case {case}");
         assert_eq!(
@@ -213,7 +211,6 @@ fn cpu_time_accounts_for_all_work() {
             cfg.clone(),
             make_net(topo),
             std::slice::from_ref(&fj),
-            QueueKind::BinaryHeap,
         );
         for (proc_, exp) in m.processes().iter().zip(expected) {
             // recv costs add the per-byte cost of whatever messages the
@@ -237,35 +234,6 @@ fn cpu_time_accounts_for_all_work() {
     }
 }
 
-/// The two engine backends replay identical histories for arbitrary
-/// workloads.
-#[test]
-fn backends_agree_on_random_workloads() {
-    let root = DetRng::new(0xC2);
-    for case in 0..CASES {
-        let mut rng = root.substream_idx("backends", case);
-        let topo = random_topo(&mut rng);
-        let jobs = random_forkjoins(&mut rng, 1, 4);
-        let (ma, ta, ea) = run_jobs(
-            MachineConfig::default(),
-            make_net(topo),
-            &jobs,
-            QueueKind::BinaryHeap,
-        );
-        let (mb, tb, eb) = run_jobs(
-            MachineConfig::default(),
-            make_net(topo),
-            &jobs,
-            QueueKind::Calendar,
-        );
-        assert_eq!(ta, tb, "case {case}: end times differ");
-        assert_eq!(ea, eb, "case {case}: event counts differ");
-        let fa: Vec<SimTime> = ma.jobs().iter().map(|j| j.finished_at).collect();
-        let fb: Vec<SimTime> = mb.jobs().iter().map(|j| j.finished_at).collect();
-        assert_eq!(fa, fb, "case {case}: completion times differ");
-    }
-}
-
 /// Response time is bounded below by the critical path: load plus the
 /// coordinator's own compute and messaging costs.
 #[test]
@@ -280,7 +248,6 @@ fn response_respects_critical_path() {
             cfg.clone(),
             make_net(topo),
             std::slice::from_ref(&fj),
-            QueueKind::BinaryHeap,
         );
         let job = m.job(JobId(0));
         let lower = SimDuration::from_micros(fj.work_us); // one work phase
@@ -313,7 +280,7 @@ fn switching_modes_complete() {
         ] {
             let mut cfg = MachineConfig::default();
             cfg.switching = switching;
-            let (m, _, _) = run_jobs(cfg, make_net(topo), &jobs, QueueKind::BinaryHeap);
+            let (m, _, _) = run_jobs(cfg, make_net(topo), &jobs);
             assert!(m.all_jobs_done(), "case {case}: {switching:?} stalled");
             counts.push(m.counters.messages_consumed);
         }

@@ -8,8 +8,9 @@ use parsched_machine::prelude::*;
 use parsched_topology::build;
 
 fn run(machine: &mut Machine, jobs: &[JobId]) -> SimTime {
-    let mut engine = Engine::new(QueueKind::BinaryHeap);
+    let mut engine = Engine::new(QueueKind);
     engine.max_events = 10_000_000;
+    machine.seed_faults(&mut engine);
     for &j in jobs {
         engine.seed(SimTime::ZERO, Event::Admit { job: j });
     }
@@ -410,41 +411,6 @@ fn determinism_same_seeded_run_twice() {
 }
 
 #[test]
-fn both_engine_backends_agree() {
-    let run_with = |kind: QueueKind| {
-        let mut m = Machine::new(MachineConfig::default(), SystemNet::single(&build::linear(4).unwrap()));
-        let spec = JobSpec {
-            name: "backend".into(),
-            ship_bytes: 0,
-            procs: vec![
-                ProcSpec {
-                    program: vec![
-                        Op::Send { to: Rank(1), bytes: 2048, tag: Tag(1) },
-                        Op::Compute(SimDuration::from_millis(3)),
-                        Op::Recv { tag: Tag(2) },
-                    ],
-                    mem_bytes: 0,
-                },
-                ProcSpec {
-                    program: vec![
-                        Op::Recv { tag: Tag(1) },
-                        Op::Compute(SimDuration::from_millis(4)),
-                        Op::Send { to: Rank(0), bytes: 512, tag: Tag(2) },
-                    ],
-                    mem_bytes: 0,
-                },
-            ],
-        };
-        let job = m.queue_job(spec, vec![0, 3], SimDuration::from_millis(2));
-        let mut engine = Engine::new(kind);
-        engine.seed(SimTime::ZERO, Event::Admit { job });
-        assert_eq!(engine.run(&mut m), RunOutcome::Drained);
-        (engine.now(), engine.events_processed())
-    };
-    assert_eq!(run_with(QueueKind::BinaryHeap), run_with(QueueKind::Calendar));
-}
-
-#[test]
 fn timeline_records_compute_handlers_and_messages() {
     let mut cfg = MachineConfig::default();
     cfg.record_timeline = true;
@@ -679,7 +645,7 @@ fn reserved_strict_can_deadlock_and_reports() {
         ],
     };
     let job = m.queue_job(spec, vec![0, 3], SimDuration::from_millis(2));
-    let mut engine = Engine::new(QueueKind::BinaryHeap);
+    let mut engine = Engine::new(QueueKind);
     engine.max_events = 1_000_000;
     engine.seed(SimTime::ZERO, Event::Admit { job });
     let outcome = engine.run(&mut m);
@@ -786,6 +752,48 @@ fn job_summary_accounts_load_cpu_and_response() {
     assert_eq!(s.cpu_time, expected_cpu);
     assert!(s.response > s.load_time + work);
     assert!(s.cpu_share() > 0.0);
+}
+
+/// A fault-killed job is terminal, and both consumers of terminal jobs
+/// must accept it: `JobSummary::capture` and the oracle's
+/// work-conservation check. One job dies mid-compute (its node crashes
+/// 150 ms in, after the job loaded), the other mid-load (its node crashes
+/// before the job's memory is resident, so it never spawns).
+#[test]
+fn fault_killed_jobs_summarize_and_conserve_work() {
+    let mut cfg = MachineConfig::default();
+    let crash = SimTime::ZERO + SimDuration::from_millis(150);
+    cfg.faults.crashes.push(NodeCrash { node: 1, at: crash });
+    cfg.faults.crashes.push(NodeCrash { node: 2, at: SimTime(1) });
+    let mut m = Machine::new(cfg, SystemNet::single(&build::linear(3).unwrap()));
+    let computing = m.queue_job(
+        compute_job("computing", 300, 0),
+        vec![1],
+        SimDuration::from_millis(2),
+    );
+    let loading = m.queue_job(
+        compute_job("loading", 300, 0),
+        vec![2],
+        SimDuration::from_millis(2),
+    );
+    let end = run(&mut m, &[computing, loading]);
+
+    assert_eq!(m.job(computing).state, JobState::Failed);
+    let s = JobSummary::capture(&m, computing);
+    assert_eq!(s.response, crash.since(SimTime::ZERO));
+    assert!(s.load_time < s.response, "the job loaded before the crash");
+    assert!(s.cpu_time > SimDuration::ZERO && s.cpu_time < s.demand);
+
+    assert_eq!(m.job(loading).state, JobState::Failed);
+    let s = JobSummary::capture(&m, loading);
+    assert_eq!(
+        s.cpu_time,
+        SimDuration::ZERO,
+        "a job killed mid-load never ran"
+    );
+    assert_eq!(s.load_time, s.response, "its load phase ran to the kill");
+
+    parsched_oracle::invariants::check_work_conservation(&m, end.since(SimTime::ZERO));
 }
 
 #[test]

@@ -67,7 +67,7 @@ fn message_slots_are_recycled_without_changing_behaviour() {
         })
         .collect();
 
-    let mut engine = Engine::new(QueueKind::default());
+    let mut engine = Engine::new(QueueKind);
     engine.max_events = 50_000_000;
     for &j in &jobs {
         engine.seed(SimTime::ZERO, Event::Admit { job: j });

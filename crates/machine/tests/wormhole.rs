@@ -18,7 +18,7 @@ fn wormhole_cfg() -> MachineConfig {
 }
 
 fn run(machine: &mut Machine, jobs: &[JobId]) -> SimTime {
-    let mut engine = Engine::new(QueueKind::BinaryHeap);
+    let mut engine = Engine::new(QueueKind);
     engine.max_events = 10_000_000;
     machine.seed_faults(&mut engine);
     for &j in jobs {

@@ -155,11 +155,11 @@ fn run_capture<Eng: DiffEngine<Event>>(
     })
 }
 
-/// Run `scenario` under the optimized engine with the scenario's backend.
+/// Run `scenario` under the optimized engine.
 pub fn run_optimized(scenario: &Scenario) -> Result<RunCapture, String> {
     let config = scenario.config();
     run_capture(
-        Engine::new(config.queue),
+        Engine::new(QueueKind),
         &config,
         scenario.batch(),
         &scenario.arrivals,
@@ -168,10 +168,7 @@ pub fn run_optimized(scenario: &Scenario) -> Result<RunCapture, String> {
 
 /// Run `scenario` under the naive reference engine.
 pub fn run_oracle(scenario: &Scenario) -> Result<RunCapture, String> {
-    let mut config = scenario.config();
-    // The backend knob is meaningless to the oracle; normalize it so the
-    // capture metadata can't suggest otherwise.
-    config.queue = QueueKind::BinaryHeap;
+    let config = scenario.config();
     run_capture(
         OracleEngine::new(),
         &config,

@@ -3,7 +3,7 @@
 //! [`OracleEngine`] is the simplest event loop that can honor the
 //! [`EventScheduler`] contract: one `std::collections::BinaryHeap` ordered
 //! by the packed `(time, seq)` key, nothing else. No now-queue bypass, no
-//! timing wheel, no calendar buckets, no adaptive migration — every
+//! 4-ary heap, no timing wheel — every
 //! optimization in `parsched-des` is deliberately absent, so any
 //! divergence between the two engines on the same model is a bug in one of
 //! them (and the smart money is on the optimized one).

@@ -1,7 +1,7 @@
 //! # parsched-oracle
 //!
 //! The correctness backstop for the optimized simulation stack: PRs keep
-//! rewriting the hot paths (slab messaging, calendar/adaptive queues,
+//! rewriting the hot paths (slab messaging, the 4-ary event heap,
 //! now-queue bypass, timing wheel with eager cancel) under a promise of
 //! bit-identical simulated results, and this crate is what holds them to
 //! it.

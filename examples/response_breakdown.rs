@@ -44,7 +44,7 @@ fn main() {
         Placement::RoundRobin,
         batch,
     );
-    let mut engine: Engine<parsched::machine::Event> = Engine::new(QueueKind::BinaryHeap);
+    let mut engine: Engine<parsched::machine::Event> = Engine::new(QueueKind);
     driver.start(&mut engine);
     assert_eq!(engine.run(&mut driver), RunOutcome::Drained, "{}", driver.diagnose());
 

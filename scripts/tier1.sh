@@ -26,6 +26,9 @@
 # u32 index paths end to end. The heavier t16k_*/t64k_* perf cells are
 # pinned in BENCH_parsched.json but gated behind `perf --heavy` so the
 # standard tier-1 wall-clock stays flat.
+# The simulator benchmark's own tests (`simbench/`, a separate Cargo
+# workspace) hold the engine to the benchmark's bit-exact pins and check
+# its timed pipeline against the library front doors.
 # Everything runs offline; no network access required.
 #
 #   scripts/tier1.sh             the standard gate
@@ -50,6 +53,7 @@ cargo run --release -p parsched-bench --bin faults -- --smoke
 cargo run --release -p parsched-bench --bin shards -- --smoke
 cargo run --release -p parsched-bench --bin arrivals -- --smoke
 cargo run --release -p parsched-bench --bin scale -- --smoke
+cargo test --release --offline --manifest-path simbench/Cargo.toml
 
 if [ "$mode" = "tier1-full" ]; then
     ORACLE_CASES="${ORACLE_CASES:-480}" \
