@@ -214,7 +214,7 @@ pub enum ObsEvent {
         /// Channel table index.
         chan: u32,
         /// Virtual-channel index within the channel.
-        vc: u8,
+        vc: u16,
     },
     /// A worm stalled: no free virtual channel (or no credit) on the link
     /// its head needs.

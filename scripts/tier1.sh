@@ -40,6 +40,12 @@
 #                                override the sweep size and root seed. A
 #                                failing case prints its replay line and
 #                                dumps the full report under target/repro/.
+#                                It then checks the heavy t16k/t64k perf
+#                                goldens (`perf --check --heavy`) and every
+#                                pinned wormhole digest (results and
+#                                non-tick event order of all wormhole
+#                                oracle cases, the t4k wormhole cells and
+#                                the express-path scenarios).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,6 +65,9 @@ if [ "$mode" = "tier1-full" ]; then
     ORACLE_CASES="${ORACLE_CASES:-480}" \
         cargo test --release -q -p parsched-oracle --test differential \
         -- --include-ignored differential_sweep_full
+    cargo run --release -p parsched-bench --bin perf -- --check --heavy
+    cargo test --release -q -p parsched-bench --test wormhole_digests \
+        -- --include-ignored all_wormhole_digests_match_flit_path
 fi
 
 # Trace smoke: the observability pipeline end-to-end — instrumented 16H
