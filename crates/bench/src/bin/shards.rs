@@ -4,17 +4,19 @@
 //! shards [--smoke] [--shards K] [--csv] [--out DIR]
 //! ```
 //!
-//! `--smoke` is the tier-1 gate. One free-mode configuration (four
-//! 16-node hypercube partitions under uncoordinated time-sharing) runs
-//! sequentially and at 2 shards, and the observables — per-job response
+//! `--smoke` is the tier-1 gate. One uncoordinated time-sharing
+//! configuration (four 16-node hypercube partitions, unbounded MPL, no
+//! faults — the whole batch prefills, so the leader never serves a
+//! request) runs sequentially and at 2 shards, and the observables — per-job response
 //! times, makespan, machine counters, events processed — must agree bit
 //! for bit; the 2-shard run then repeats and must fingerprint identically
 //! (no thread-interleaving nondeterminism). Then one K = 2 case per
-//! *coordinated* eligibility class runs on the 1024-node torus cells:
+//! class the leader coordinates runs on the 1024-node torus cells:
 //! static space-sharing, the hybrid MPL-2 discipline, an MPL-capped
 //! static run, and time-sharing under a crash + flaky-link fault plan —
 //! each bit-identical to its sequential run, none falling back. A tiny
-//! 4096-node torus case covers free mode at the largest machine size, a
+//! 4096-node torus case covers uncoordinated time-sharing at the largest
+//! machine size, a
 //! wormhole gate runs one K = 2 flit-switched case per topology family
 //! (torus, fat-tree, dragonfly — the t4k cells), and a gang-scheduled
 //! configuration must still fall back with a recorded reason.
@@ -22,8 +24,8 @@
 //! Full mode sweeps shard counts 1, 2, 4 and prints each run's wall
 //! clock, speedup over sequential, the (identical) simulated mean, and —
 //! when a run fell back to the sequential path — the recorded reason.
-//! A second table breaks each parallel run down per shard (event-loop
-//! work vs. barrier wait vs. cross-shard merge, from
+//! A second table breaks each parallel run down per shard (run-slice
+//! work vs. round-barrier wait vs. leader round, from
 //! `ShardedRunResult::timings`); the same wall-clock numbers feed
 //! `ObsEvent::ShardPhase` events into a `MetricsRegistry` gauge so the
 //! breakdown lands in the metrics CSV next to the simulated gauges.
@@ -106,10 +108,12 @@ fn smoke() {
         par.fingerprint(),
         "2-shard rerun: interleaving nondeterminism"
     );
-    println!("shards --smoke: free mode: OK (K=2 bit-identical, deterministic rerun)");
+    println!(
+        "shards --smoke: uncoordinated time-sharing: OK (K=2 bit-identical, deterministic rerun)"
+    );
 
-    // The widened gate: one K = 2 case per coordinated eligibility class,
-    // on the 1024-node cells the perf goldens pin.
+    // One K = 2 case per class the leader coordinates, on the 1024-node
+    // cells the perf goldens pin.
     let (s_cfg, s_batch) = torus1k(Cell1k::Static);
     assert_shards_bit_identically(&s_cfg, &s_batch, "static policy");
 
@@ -137,7 +141,8 @@ fn smoke() {
     assert_shards_bit_identically(&f_cfg, &f_batch, "crash + flaky-link fault plan");
 
     let (t4_cfg, t4_batch) = torus4k();
-    assert_shards_bit_identically(&t4_cfg, &t4_batch, "4096-node torus (free mode)");
+    let what = "4096-node torus (uncoordinated time-sharing)";
+    assert_shards_bit_identically(&t4_cfg, &t4_batch, what);
 
     // Wormhole smoke gate: one K = 2 case per topology family under
     // flit-level switching — the t4k cells whose goldens `perf --check`
@@ -161,7 +166,7 @@ fn smoke() {
     assert_matches(&gseq, &gfall, "gang fallback vs sequential");
 
     println!(
-        "shards --smoke: OK (free + coordinated classes bit-identical, \
+        "shards --smoke: OK (every eligible class bit-identical, \
          gang fallback: {:?})",
         gfall.fallback.unwrap()
     );

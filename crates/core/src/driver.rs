@@ -206,8 +206,8 @@ pub struct Driver {
     /// open-system population behind the `machine.in_system` gauge and the
     /// `JobSubmitted`/`JobDeparted` events.
     in_system: u32,
-    /// Coordinated sharded protocol client (`None` = sequential or
-    /// free-running sharded execution; global decisions stay local).
+    /// Coordinated sharded protocol client (`None` = sequential
+    /// execution; global decisions stay local).
     coord: Option<CoordClient>,
 }
 

@@ -5,35 +5,40 @@
 //! partitions evolve independently once the *global* super-scheduler
 //! decisions — admission order, host-link load serialization, queue pops,
 //! fault requeues — are accounted for. [`run_batch_sharded`] cuts the
-//! partition plan into `K` contiguous shards ([`ShardPlan`]), gives each
-//! shard its own [`Machine`] + [`Driver`] on its own thread, and picks one
-//! of two execution modes ([`shard_eligibility`]):
+//! partition plan into `K` contiguous shards ([`ShardPlan`]) and gives each
+//! shard its own [`Machine`] + [`Driver`] + [`Engine`] on its own thread.
+//! No message ever crosses a shard boundary, so the shards share no
+//! network state; only the scheduler's global decisions couple them.
 //!
-//! * **free** ([`ShardMode::Free`]) — uncoordinated time-sharing of a
-//!   closed batch under an unbounded MPL with no faults. Every global
-//!   coupling is precomputable: admission degenerates to round-robin
-//!   (job `i` lands on partition `i mod P`, kept exact by
-//!   [`Driver::with_job_indices`]) and the host-link serialization is a
-//!   prefix sum ([`Driver::with_load_floors`]). Shards run under the
-//!   conservative windowed engine ([`ShardedEngine`]) with no runtime
-//!   coordination at all.
-//! * **coordinated** ([`ShardMode::Coordinated`]) — static and hybrid
-//!   (finite-MPL) policies, whose global FCFS queue pops on completions,
-//!   and fault plans, whose requeues re-place jobs across partitions.
-//!   The queue/requeue decisions cannot be precomputed, but they are rare
-//!   and *pausable*: a shard that hits one pauses its engine at the exact
-//!   instant ([`parsched_des::engine::EventScheduler::request_pause`]),
-//!   raises a [`CoordRequest`], and a leader serves requests across shards
-//!   in the sequential order — global `(time, partition)` — handing back
-//!   [`CoordGrant`]s that seed the admission into the paused engine.
-//!   Fault plans are split along shard boundaries
+//! Those decisions split in two:
+//!
+//! * **precomputed** — the t = 0 admission fills every partition up to its
+//!   execution + prefetch capacity round-robin (job `i` lands on partition
+//!   `i mod P`, kept exact by [`Driver::with_job_indices`]), and the
+//!   host-link serialization of those loads is a prefix sum
+//!   ([`Driver::with_load_floors`]);
+//! * **coordinated** — pops of the global FCFS queue (static and hybrid
+//!   finite-MPL policies) and fault requeues cannot be precomputed, but
+//!   they are rare and *pausable*: a shard that hits one pauses its engine
+//!   at the exact instant
+//!   ([`parsched_des::engine::EventScheduler::request_pause`]), raises a
+//!   [`CoordRequest`], and a leader serves requests across shards in the
+//!   sequential order — global `(time, partition)` — handing back
+//!   [`CoordGrant`]s that seed the admission into the paused engine. Fault
+//!   plans are split along shard boundaries
 //!   ([`parsched_machine::FaultPlan::slice_for_nodes`]) so each declared
 //!   fault is seeded exactly once, by its owner.
 //!
-//! Both modes reproduce the sequential run's observables — per-job
-//! response times, makespan, machine counters, events processed — *bit
-//! for bit*; the differential oracle sweeps assert exactly that. The few
-//! configurations whose global order is not locally derivable (gang
+//! Shards advance in barrier rounds: run to the horizon (the next crash
+//! wakeup, `MAX` when there is none) or the first pause, barrier, leader
+//! round, barrier. A run with nothing to coordinate — uncoordinated
+//! time-sharing of a closed batch under an unbounded MPL with no faults —
+//! prefills the whole batch, raises no request, and drains in one round.
+//!
+//! Every eligible run reproduces the sequential run's observables —
+//! per-job response times, makespan, machine counters, events processed —
+//! *bit for bit*; the differential oracle sweeps assert exactly that. The
+//! few configurations whose global order is not locally derivable (gang
 //! rotation ticks, fault plans under a bounded MPL, same-instant
 //! cross-shard queue pops) fall back deterministically to the sequential
 //! path with the reason recorded in [`ShardedRunResult::fallback`].
@@ -41,11 +46,8 @@
 use crate::driver::{CoordGrant, CoordRequest, Driver};
 use crate::experiment::{ExperimentConfig, RunError};
 use crate::policy::{Discipline, PolicyKind};
-use parsched_des::{
-    Engine, Lookahead, RunOutcome, ShardTiming, ShardedEngine, SimDuration, SimTime, Solo,
-    Summary,
-};
-use parsched_machine::{Counters, Event, JobSpec, Machine, MachineConfig, SystemNet};
+use parsched_des::{Engine, RunOutcome, ShardTiming, SimDuration, SimTime, Summary};
+use parsched_machine::{Counters, Event, JobSpec, Machine, SystemNet};
 use parsched_topology::{PartitionPlan, ShardPlan};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -71,9 +73,9 @@ pub struct ShardedRunResult {
     pub shards: usize,
     /// Why the run fell back to the sequential path, when it did.
     pub fallback: Option<&'static str>,
-    /// Wall-clock phase breakdown per shard (simulation work vs. barrier
-    /// waits vs. cross-shard merge/coordination). Empty on the sequential
-    /// path. Host timing, not simulation state: excluded from
+    /// Wall-clock phase breakdown per shard (run slices vs. round-barrier
+    /// waits vs. the leader round). Empty on the sequential path. Host
+    /// timing, not simulation state: excluded from
     /// [`ShardedRunResult::fingerprint`].
     pub timings: Vec<ShardTiming>,
 }
@@ -108,20 +110,8 @@ impl ShardedRunResult {
     }
 }
 
-/// How an eligible configuration executes when sharded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardMode {
-    /// No runtime coordination: every global coupling is precomputed
-    /// (uncoordinated time-sharing, unbounded MPL, fault-free).
-    Free,
-    /// Barrier-round coordination: shards pause at global scheduler
-    /// decisions (FCFS-queue pops, fault requeues) and a leader serves
-    /// them in the sequential order.
-    Coordinated,
-}
-
-/// Can `config` run sharded, and in which mode? `Err` names the global
-/// coupling that forces the sequential path:
+/// Can `config` run sharded? `Err` names the global coupling that forces
+/// the sequential path:
 ///
 /// * gang scheduling's rotation ticks synchronize a partition's jobs on a
 ///   schedule the pause protocol cannot reproduce;
@@ -138,7 +128,7 @@ pub enum ShardMode {
 /// Open arrivals are rejected at the entry point ([`run_batch_sharded`]
 /// takes a closed batch); an arrival-time admission also depends on the
 /// global load picture.
-pub fn shard_eligibility(config: &ExperimentConfig) -> Result<ShardMode, &'static str> {
+pub fn shard_eligibility(config: &ExperimentConfig) -> Result<(), &'static str> {
     if matches!(config.discipline, Discipline::Gang { .. }) {
         return Err("gang scheduling: rotation ticks couple partitions");
     }
@@ -154,8 +144,7 @@ pub fn shard_eligibility(config: &ExperimentConfig) -> Result<ShardMode, &'stati
             return Err("a crash at t = 0 would precede the arrivals it must follow");
         }
     }
-    let coordinated = queued || !faults.is_empty();
-    if coordinated && config.machine.job_load_latency == SimDuration::ZERO {
+    if (queued || !faults.is_empty()) && config.machine.job_load_latency == SimDuration::ZERO {
         return Err("zero-latency job loads: a granted admission would race same-instant starts");
     }
     match config.try_plan() {
@@ -163,11 +152,7 @@ pub fn shard_eligibility(config: &ExperimentConfig) -> Result<ShardMode, &'stati
         Ok(plan) if plan.count() < 2 => {
             Err("single partition: shards cannot cut below partition granularity")
         }
-        Ok(_) => Ok(if coordinated {
-            ShardMode::Coordinated
-        } else {
-            ShardMode::Free
-        }),
+        Ok(_) => Ok(()),
     }
 }
 
@@ -178,30 +163,6 @@ pub fn default_shards(config: &ExperimentConfig) -> usize {
     let parts = config.system_size / config.partition_size.max(1);
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     parts.min(cpus).clamp(1, 8)
-}
-
-/// Classify the lookahead the shard cut admits. No cross-shard channel
-/// (the paper's wiring: partitions are closed) means the shards are
-/// independent; otherwise the cheapest cross-shard interaction is one
-/// store-and-forward hop, bounded below by the link startup time.
-fn classify_lookahead(
-    net: &SystemNet,
-    partition_size: usize,
-    shard_plan: &ShardPlan,
-    cfg: &MachineConfig,
-) -> Result<Lookahead, &'static str> {
-    let crossing = net.channels().iter().any(|c| {
-        let a = shard_plan.shard_of(c.from as usize / partition_size);
-        let b = shard_plan.shard_of(c.to as usize / partition_size);
-        a != b
-    });
-    if !crossing {
-        return Ok(Lookahead::Independent);
-    }
-    if cfg.link_startup.nanos() == 0 {
-        return Err("zero-latency cross-shard links admit no lookahead window");
-    }
-    Ok(Lookahead::Finite(cfg.link_startup))
 }
 
 /// The sequential path, producing the same observable set as the sharded
@@ -264,129 +225,16 @@ pub fn run_batch_sharded(
     if shards <= 1 {
         return run_sequential(config, batch, None);
     }
-    let mode = match shard_eligibility(config) {
-        Ok(mode) => mode,
-        Err(reason) => return run_sequential(config, batch, Some(reason)),
-    };
+    if let Err(reason) = shard_eligibility(config) {
+        return run_sequential(config, batch, Some(reason));
+    }
     let plan = config.plan();
     let shard_plan = ShardPlan::contiguous(plan.count(), shards);
     debug_assert!(
         shard_plan.shards >= 2,
         "eligibility guarantees at least two partitions"
     );
-    match mode {
-        ShardMode::Free => run_free(config, batch, plan, shard_plan),
-        ShardMode::Coordinated => run_coordinated(config, batch, plan, shard_plan),
-    }
-}
-
-/// The free mode: precomputed admission + load floors, no runtime
-/// coordination, conservative windowed engine.
-fn run_free(
-    config: &ExperimentConfig,
-    batch: Vec<JobSpec>,
-    plan: PartitionPlan,
-    shard_plan: ShardPlan,
-) -> Result<ShardedRunResult, RunError> {
-    let p = plan.count();
-    let k = shard_plan.shards;
-    let lookahead = match classify_lookahead(
-        &SystemNet::from_plan(&plan),
-        plan.partition_size,
-        &shard_plan,
-        &config.machine,
-    ) {
-        Ok(l) => l,
-        Err(reason) => return run_sequential(config, batch, Some(reason)),
-    };
-
-    // Host-link serialization: job i's load starts once loads 0..i are
-    // done (all arrive at t = 0 and admission is immediate, so the
-    // sequential loader grants in submission order).
-    let mut floors = Vec::with_capacity(batch.len());
-    let mut at = 0u64;
-    for spec in &batch {
-        floors.push(SimTime(at));
-        at += config.machine.load_duration(spec.effective_ship_bytes()).nanos();
-    }
-
-    // Round-robin admission: job i lands on partition i mod P, hence on
-    // the shard owning that partition.
-    let mut members_of: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for i in 0..batch.len() {
-        members_of[shard_plan.shard_of(i % p)].push(i);
-    }
-
-    let mut drivers = Vec::with_capacity(k);
-    for (s, members) in members_of.iter().enumerate() {
-        let sub_plan = PartitionPlan {
-            system_size: plan.system_size,
-            partition_size: plan.partition_size,
-            partitions: shard_plan
-                .partitions_of(s)
-                .iter()
-                .map(|&q| plan.partitions[q].clone())
-                .collect(),
-        };
-        // Each shard simulates the full node/link array (its partitions
-        // never talk to the others', so the rest sits idle); the driver
-        // only schedules onto the shard's own partitions.
-        let machine = Machine::new(config.machine.clone(), SystemNet::from_plan(&plan));
-        let driver = Driver::new(
-            machine,
-            sub_plan,
-            config.policy,
-            config.rule,
-            config.placement,
-            members.iter().map(|&i| batch[i].clone()).collect(),
-        )
-        .with_discipline(config.discipline)
-        .with_job_indices(members.clone())
-        .with_load_floors(members.iter().map(|&i| floors[i]).collect());
-        drivers.push(driver);
-    }
-
-    let mut sharded: ShardedEngine<Event> = ShardedEngine::new(k, lookahead);
-    for (s, driver) in drivers.iter_mut().enumerate() {
-        let engine = sharded.shard_mut(s);
-        engine.max_events = config.machine.max_events;
-        driver.start(engine);
-    }
-    let mut models: Vec<Solo<Driver>> = drivers.into_iter().map(Solo).collect();
-    let outcome = sharded.run(&mut models);
-    if outcome != RunOutcome::Drained || models.iter().any(|m| !m.0.all_done()) {
-        let mut diagnosis = String::new();
-        for (s, m) in models.iter().enumerate() {
-            if !m.0.all_done() {
-                diagnosis.push_str(&format!("shard {s}:\n{}\n", m.0.diagnose()));
-            }
-        }
-        return Err(RunError {
-            outcome: Some(outcome),
-            diagnosis,
-        });
-    }
-
-    let mut response_times = vec![SimDuration::ZERO; batch.len()];
-    let mut counters = Counters::default();
-    for (s, m) in models.iter().enumerate() {
-        let local = m.0.response_times();
-        for (j, &i) in members_of[s].iter().enumerate() {
-            response_times[i] = local[j];
-        }
-        counters.absorb(&m.0.machine.counters);
-    }
-    let summary = Summary::of_durations(&response_times);
-    Ok(ShardedRunResult {
-        response_times,
-        summary,
-        makespan: sharded.now().since(SimTime::ZERO),
-        counters,
-        events: sharded.events_processed(),
-        shards: k,
-        fallback: None,
-        timings: sharded.timings().to_vec(),
-    })
+    run_rounds(config, batch, plan, shard_plan)
 }
 
 /// What one shard publishes to the leader at the end of each round.
@@ -408,7 +256,7 @@ struct Report {
 struct Ctrl {
     /// Current run horizon: the next wakeup instant (shards pause there so
     /// requeue grants always target clocks at the same instant), `MAX`
-    /// once exhausted — and from the start, for fault-free queued runs.
+    /// once exhausted — and from the start, for fault-free runs.
     horizon: SimTime,
     /// Per-shard requests raised and not yet served. All requests of one
     /// shard share one instant (the shard pauses at its first decision).
@@ -656,9 +504,9 @@ fn leader_round(
     }
 }
 
-/// The coordinated mode: shards pause at global scheduler decisions and a
+/// The sharded runner: shards pause at global scheduler decisions and a
 /// barrier-round leader serves them in the sequential global order.
-fn run_coordinated(
+fn run_rounds(
     config: &ExperimentConfig,
     batch: Vec<JobSpec>,
     plan: PartitionPlan,
@@ -671,8 +519,7 @@ fn run_coordinated(
     // The sequential t = 0 admission fills every partition up to its
     // execution + prefetch capacity round-robin (job i → partition
     // i mod P) and queues the rest FCFS. The prefilled prefix is
-    // precomputable exactly like the free mode; the leftovers defer to
-    // the leader's queue.
+    // precomputable; the leftovers defer to the leader's queue.
     let mpl = config.mpl.unwrap_or(match config.policy {
         PolicyKind::Static => 1,
         PolicyKind::TimeSharing => usize::MAX,
@@ -912,6 +759,13 @@ fn run_coordinated(
         makespan = makespan.max(engine.now());
         timings.push(timing);
     }
+    // Each shard engine holds the whole budget, so only the sum can tell
+    // that the sequential run (which processes exactly these events)
+    // would have exhausted it; rerun it for its error and diagnosis.
+    if events >= config.machine.max_events {
+        let reason = "the shards together exhausted the event budget";
+        return run_sequential(config, batch, Some(reason));
+    }
     debug_assert!(seen.iter().all(|&done| done), "every job reported exactly once");
     let summary = Summary::of_durations(&response_times);
     Ok(ShardedRunResult {
@@ -933,7 +787,7 @@ mod tests {
     use parsched_topology::TopologyKind;
 
     /// 16 nodes in 4-node hypercube partitions under uncoordinated
-    /// time-sharing: the free sharding shape.
+    /// time-sharing: a sharded run with nothing to coordinate.
     fn eligible_config() -> ExperimentConfig {
         ExperimentConfig::paper(
             4,
@@ -1011,16 +865,17 @@ mod tests {
 
     #[test]
     fn eligibility_gate_names_each_coupling() {
-        assert_eq!(shard_eligibility(&eligible_config()), Ok(ShardMode::Free));
+        assert_eq!(shard_eligibility(&eligible_config()), Ok(()));
 
-        // The widened gate: queued policies and fault plans coordinate.
+        // Queued policies and fault plans shard too (the leader serves
+        // their pops and requeues).
         let mut c = eligible_config();
         c.policy = PolicyKind::Static;
-        assert_eq!(shard_eligibility(&c), Ok(ShardMode::Coordinated));
+        assert_eq!(shard_eligibility(&c), Ok(()));
 
         let mut c = eligible_config();
         c.mpl = Some(2);
-        assert_eq!(shard_eligibility(&c), Ok(ShardMode::Coordinated));
+        assert_eq!(shard_eligibility(&c), Ok(()));
 
         let mut c = eligible_config();
         c.machine.faults = FaultPlan {
@@ -1030,7 +885,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        assert_eq!(shard_eligibility(&c), Ok(ShardMode::Coordinated));
+        assert_eq!(shard_eligibility(&c), Ok(()));
 
         // Still sequential, each with its reason on record.
         let mut c = eligible_config();
@@ -1140,6 +995,37 @@ mod tests {
         };
         let seq = assert_bit_identical(&config, &chatty_batch(8), &[2, 4]);
         assert_eq!(seq.counters.jobs_requeued, 0, "nobody should die here");
+    }
+
+    #[test]
+    fn sharded_runs_honor_the_global_event_budget() {
+        // At a quarter of the sequential event count some shard exhausts
+        // the budget on its own; at exactly the count only the shards'
+        // sum does. Either way every shard count must fail as the
+        // sequential run does. One headroom event later, every shard
+        // count succeeds bit-identically.
+        let mut stat = eligible_config();
+        stat.policy = PolicyKind::Static;
+        for mut config in [eligible_config(), stat] {
+            let batch = chatty_batch(12);
+            let seq = run_batch_sharded(&config, batch.clone(), 1).unwrap();
+            for budget in [seq.events / 4, seq.events] {
+                config.machine.max_events = budget;
+                let want = run_batch_sharded(&config, batch.clone(), 1).unwrap_err();
+                assert_eq!(want.outcome, Some(RunOutcome::BudgetExhausted));
+                for k in [2, 4] {
+                    let got = run_batch_sharded(&config, batch.clone(), k).unwrap_err();
+                    assert_eq!(got.outcome, want.outcome, "budget={budget} k={k}");
+                    assert_eq!(got.diagnosis, want.diagnosis, "budget={budget} k={k}");
+                }
+            }
+            config.machine.max_events = seq.events + 1;
+            for k in [2, 4] {
+                let par = run_batch_sharded(&config, batch.clone(), k).unwrap();
+                assert_eq!(par.fallback, None, "k={k}");
+                assert_eq!(par.fingerprint(), seq.fingerprint(), "k={k}");
+            }
+        }
     }
 
     #[test]

@@ -332,27 +332,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Timestamp of the earliest pending event across all three tiers, or
-    /// `None` when the pending set is empty. The sharded engine uses this
-    /// to compute the global window floor.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        let mut key = u128::MAX;
-        if let Some(s) = self.now_queue.front() {
-            key = pack(s.time, s.seq);
-        }
-        if let Some(k) = self.timers.peek_key() {
-            key = key.min(k);
-        }
-        if let Some(k) = self.queue.peek_key() {
-            key = key.min(k);
-        }
-        if key == u128::MAX {
-            None
-        } else {
-            Some(SimTime((key >> 64) as u64))
-        }
-    }
-
     /// Like [`Engine::run`] but stops once simulated time would exceed
     /// `deadline` (a convenience for watchdog-style callers).
     pub fn run_until<M: Model<Event = E>>(

@@ -6,9 +6,9 @@
 //! The kernel is domain-agnostic: it provides simulated [time](time), a
 //! 4-ary heap [pending-event set](queue), a [timing wheel](wheel) for
 //! cancellable timers, the [event loop](engine) that merges the two with a
-//! same-instant now-queue, a conservative
-//! [sharded parallel engine](shard) with barrier lookahead windows,
-//! [output statistics](stats),
+//! same-instant now-queue, the host-side [timing](shard) a sharded run
+//! reports (one engine per shard; the round loop lives in
+//! `parsched-core`), [output statistics](stats),
 //! a [deterministic RNG](rng) with labelled substreams, and a bounded
 //! [trace](trace) buffer. Everything Transputer-specific lives in
 //! `parsched-machine` on top of this crate.
@@ -69,7 +69,7 @@ pub mod prelude {
         Engine, EventScheduler, EventSeeder, Model, QueueKind, RunOutcome, Scheduler,
     };
     pub use crate::queue::{BinaryHeapQueue, Scheduled};
-    pub use crate::shard::{Lookahead, ShardCtx, ShardModel, ShardTiming, ShardedEngine, Solo};
+    pub use crate::shard::ShardTiming;
     pub use crate::wheel::{TimerHandle, TimerWheel};
     pub use crate::rng::DetRng;
     pub use crate::stats::{percentile, Histogram, Summary, TimeWeighted, Welford};

@@ -123,8 +123,8 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
     assert!(checked >= 3, "too few eligible scenarios: {checked}");
 }
 
-/// Targeted coverage for the widened shard-eligibility gate: every
-/// coordinated class — static space-sharing, the hybrid discipline
+/// Targeted coverage for the shard-eligibility gate: every class the
+/// leader coordinates — static space-sharing, the hybrid discipline
 /// (time-sharing under an MPL cap), an MPL-capped static run, and
 /// time-sharing under crash and flaky-link fault plans — must match the
 /// oracle AND be bit-identical to its sequential run at K ∈ {2, 4, 8}.
@@ -133,7 +133,7 @@ fn sharded_runs_are_bit_identical_across_shard_counts() {
 /// 2-node partitions, so even K = 8 cuts along real partition boundaries.
 #[test]
 fn coordinated_classes_shard_bit_identically() {
-    use parsched_core::{shard_eligibility, Discipline, Placement, ShardMode};
+    use parsched_core::{shard_eligibility, Discipline, Placement};
     use parsched_des::SimTime;
     use parsched_machine::{FaultPlan, LinkWindow, NodeCrash, Switching};
     use parsched_oracle::{Order, PolicyClass};
@@ -195,8 +195,8 @@ fn coordinated_classes_shard_bit_identically() {
             };
             assert_eq!(
                 shard_eligibility(&scenario.config()),
-                Ok(ShardMode::Coordinated),
-                "{what}: must be coordinated-eligible"
+                Ok(()),
+                "{what}: must be shard-eligible"
             );
             if let Err(div) = run_differential(&scenario) {
                 panic!("{what} at K={shards}: {div}");

@@ -1,16 +1,14 @@
 //! Grouping a [`PartitionPlan`]'s partitions into simulation shards.
 //!
-//! The conservative parallel engine (`parsched-des::shard`) needs the
-//! machine cut into regions that interact as little — and as *slowly* — as
-//! possible: the minimum inter-shard interaction latency becomes the
-//! lookahead window, and partitions are the natural cut. The paper's
-//! machine wires each partition as its own closed interconnect (the C004
-//! crossbar links partitions only through the host), so a partition never
-//! exchanges network traffic with another: shards built from whole
-//! partitions are *independent*, the best possible lookahead. A
-//! [`ShardPlan`] records the partition → shard assignment; the lookahead
-//! classification itself lives with the wiring layer, which knows the
-//! channel list.
+//! The sharded runner (`parsched-core`'s `sharded` module) gives each
+//! shard its own machine and engine on its own thread, so the cut must
+//! leave the shards no network state to share. Partitions are that cut:
+//! the paper's machine wires each partition as its own closed
+//! interconnect (the C004 crossbar links partitions only through the
+//! host), so a partition never exchanges network traffic with another,
+//! and shards built from whole partitions couple only through the
+//! scheduler's global decisions. A [`ShardPlan`] records the partition →
+//! shard assignment.
 //!
 //! Shards are contiguous runs of partitions with near-equal partition
 //! counts, so the assignment is a pure function of `(partitions, shards)` —

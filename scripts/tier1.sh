@@ -6,12 +6,13 @@
 # fault-injection smoke gate (one crash and one flaky-link scenario per
 # policy class, run twice with the oracle's invariant checkers on and
 # bit-identical replay asserted), a sharded-execution smoke gate (one
-# K = 2 run per eligibility class — free-mode time-sharing, static,
-# hybrid MPL-2, MPL-capped static, crash + flaky-link fault plan, and a
-# 4096-node torus — each bit-identical to sequential and rerun
-# deterministically, with ineligible configs falling back with a
-# reason), a wormhole smoke gate (one bit-identical K = 2 flit-switched
-# case per topology family — torus, fat-tree, dragonfly — inside
+# K = 2 run through the single sharded runner per eligibility class —
+# uncoordinated time-sharing, static, hybrid MPL-2, MPL-capped static,
+# crash + flaky-link fault plan, and a 4096-node torus — each
+# bit-identical to sequential and rerun deterministically, with
+# ineligible configs falling back with a reason), a wormhole smoke gate
+# (one bit-identical K = 2 flit-switched case per topology family —
+# torus, fat-tree, dragonfly — inside
 # `shards --smoke`), an open-system smoke gate (Poisson and heavy-tailed
 # arrival cells per policy class replay bit-identically and the
 # mean-response curve is monotone in offered load), and a trace-export
@@ -26,9 +27,10 @@
 # u32 index paths end to end. The heavier t16k_*/t64k_* perf cells are
 # pinned in BENCH_parsched.json but gated behind `perf --heavy` so the
 # standard tier-1 wall-clock stays flat.
-# The simulator benchmark's own tests (`simbench/`, a separate Cargo
-# workspace) hold the engine to the benchmark's bit-exact pins and check
-# its timed pipeline against the library front doors.
+# The simulator benchmark's own crate (`simbench/`, a separate Cargo
+# workspace that imports the library crates) gets the same lint wall,
+# and its tests hold the engine to the benchmark's bit-exact pins and
+# check its timed pipeline against the library front doors.
 # Everything runs offline; no network access required.
 #
 #   scripts/tier1.sh             the standard gate
@@ -59,6 +61,7 @@ cargo run --release -p parsched-bench --bin faults -- --smoke
 cargo run --release -p parsched-bench --bin shards -- --smoke
 cargo run --release -p parsched-bench --bin arrivals -- --smoke
 cargo run --release -p parsched-bench --bin scale -- --smoke
+cargo clippy --offline --manifest-path simbench/Cargo.toml --all-targets -- -D warnings
 cargo test --release --offline --manifest-path simbench/Cargo.toml
 
 if [ "$mode" = "tier1-full" ]; then
